@@ -177,7 +177,7 @@ func (c Config) valueShape(id, version uint64) int {
 
 // stageValue allocates a staging buffer inside the transaction and
 // fills it with the value for (id, version). Roughly a quarter of the
-// blocks take a pattern from a small shared pool, so the dedup map
+// blocks take one of two shared patterns, so the dedup map
 // sees real sharing across keys; the rest are unique to (id, version,
 // block). Fills are fresh-provenance stores — the captured-heap writes
 // of the paper's Fig. 8. Shared by the self-driving workload and the
@@ -190,7 +190,10 @@ func (c Config) stageValue(tx *stm.Tx, id, version uint64) (mem.Addr, int) {
 		sel := id*31 + version*7 + uint64(blk)
 		base := stage + mem.Addr(blk*BlockWords)
 		if sel%4 == 0 {
-			pool := sel % 8 // one of eight common patterns
+			// sel%4 == 0 leaves sel%8 ∈ {0, 4}: only two common
+			// patterns occur, and their block records' refcounts are
+			// the hottest shared words in a write-heavy run.
+			pool := sel % 8
 			for j := 0; j < BlockWords; j++ {
 				tx.Store(base+mem.Addr(j), pool*0xABCD+uint64(j), stm.AccFresh)
 			}

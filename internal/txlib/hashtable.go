@@ -11,13 +11,18 @@ import (
 //
 // Layout:
 //
-//	header: [0] buckets ptr  [1] nbuckets  [2] size
+//	header: [0] buckets ptr  [1] nbuckets
 //	entry:  [0] next  [1] hash  [2] keyPtr  [3] keyWords  [4] data
+//
+// The header is written only by NewHashtable and sits alone on its
+// cache line, so no insert or remove re-versions the orec line that
+// every operation reads. For the same reason there is no size word: a
+// shared count would be a read-modify-write on one line in every insert
+// and remove. HTSize walks the chains instead and is O(n), meant for
+// validation.
 const (
 	htBuckets  = 0
 	htNBuckets = 1
-	htSize     = 2
-	htHdr      = 3
 
 	heNext     = 0
 	heHash     = 1
@@ -27,15 +32,18 @@ const (
 	heSize     = 5
 )
 
-// NewHashtable allocates a table with nbuckets chains.
+// NewHashtable allocates a table with nbuckets chains. The returned
+// header address is line-aligned inside a block padded to hold a whole
+// line, so no other object shares the header's orec line. Tables are
+// never freed, so the block start need not be recoverable.
 func NewHashtable(tx *stm.Tx, nbuckets int) mem.Addr {
-	ht := tx.Alloc(htHdr)
+	blk := tx.Alloc(2*mem.LineWords - 1)
+	ht := (blk + mem.LineWords - 1) &^ (mem.LineWords - 1)
 	b := tx.Alloc(nbuckets)
 	// The bucket array is freshly allocated: its initializing state is
 	// already zero (empty chains), so only the header needs stores.
 	tx.StoreAddr(ht+htBuckets, b, stm.AccFresh)
 	tx.Store(ht+htNBuckets, uint64(nbuckets), stm.AccFresh)
-	tx.Store(ht+htSize, 0, stm.AccFresh)
 	return ht
 }
 
@@ -53,10 +61,23 @@ func HashWords(tx *stm.Tx, key mem.Addr, words int, mode stm.Acc) uint64 {
 	return h
 }
 
+// mix64 is MurmurHash3's 64-bit finalizer. FNV-style hashes such as
+// HashWords carry little entropy in their low bits, so taking them
+// modulo a power-of-two bucket count piles keys onto a few chains;
+// mixing first spreads every input bit over the bucket index.
+func mix64(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb3fe1a85ec53
+	h ^= h >> 33
+	return h
+}
+
 func htBucket(tx *stm.Tx, ht mem.Addr, hash uint64, mode stm.Acc) mem.Addr {
 	b := tx.LoadAddr(ht+htBuckets, mode)
 	n := tx.Load(ht+htNBuckets, mode)
-	return b + mem.Addr(hash%n)
+	return b + mem.Addr(mix64(hash)%n)
 }
 
 // keyEqual compares an entry's stored key with the probe key.
@@ -96,7 +117,6 @@ func HTInsertIfAbsent(tx *stm.Tx, ht mem.Addr, key mem.Addr, words int, data uin
 	tx.Store(e+heKeyWords, uint64(words), stm.AccFresh)
 	tx.Store(e+heData, data, stm.AccFresh)
 	tx.StoreAddr(slot, e, mode)
-	tx.Store(ht+htSize, tx.Load(ht+htSize, mode)+1, mode)
 	return true
 }
 
@@ -112,7 +132,6 @@ func HTRemove(tx *stm.Tx, ht mem.Addr, key mem.Addr, words int, mode, keyMode st
 			tx.StoreAddr(prevSlot, tx.LoadAddr(e+heNext, mode), mode)
 			tx.Free(tx.LoadAddr(e+heKeyPtr, mode))
 			tx.Free(e)
-			tx.Store(ht+htSize, tx.Load(ht+htSize, mode)-1, mode)
 			return data, true
 		}
 		prevSlot = e + heNext
@@ -138,9 +157,15 @@ func HTContains(tx *stm.Tx, ht mem.Addr, key mem.Addr, words int, mode, keyMode 
 	return ok
 }
 
-// HTSize returns the number of entries.
+// HTSize returns the number of entries by walking every chain: O(n +
+// nbuckets) reads, for validation and tests only.
 func HTSize(tx *stm.Tx, ht mem.Addr, mode stm.Acc) int {
-	return int(tx.Load(ht+htSize, mode))
+	n := 0
+	HTForEach(tx, ht, mode, func(mem.Addr, int, uint64) bool {
+		n++
+		return true
+	})
+	return n
 }
 
 // HTForEach visits every entry in unspecified order.
