@@ -340,8 +340,9 @@ func (tx *Tx) commitTop() {
 	tx.th.drainLimbo()
 	if durable {
 		// Group-commit barrier: return to the application only once the
-		// record (batched with everything the flusher accumulated) is on
-		// disk. Sticky log errors surface at Sync/Close.
+		// record is on disk. The wait writes the batch itself (everything
+		// appended across threads) when no other committer is writing
+		// one. Sticky log errors surface at Sync/Close.
 		ack.Wait()
 	}
 }

@@ -18,6 +18,15 @@ const (
 	segHdrLen = 16
 )
 
+// Records nobody waits on (aborts, non-transactional journal entries)
+// must not pile up in memory: Append writes the pending batch itself
+// once it exceeds maxPending and no flush is running, and a written
+// buffer larger than maxSpare is dropped instead of kept for reuse.
+const (
+	maxPending = 1 << 20
+	maxSpare   = 2 * maxPending
+)
+
 // SegName returns the file name of segment idx.
 func SegName(idx uint64) string { return fmt.Sprintf("seg-%08d.wal", idx) }
 
@@ -26,10 +35,11 @@ type Options struct {
 	// SegmentBytes rotates to a new segment file once the current one
 	// reaches this size. Default 8 MiB.
 	SegmentBytes int
-	// GroupInterval is how long the flusher lingers after waking to
-	// accumulate more records into one write+fsync. Zero flushes as soon
-	// as the flusher observes pending bytes (still batching whatever
-	// arrived while the previous fsync was in flight).
+	// GroupInterval is how long the committing thread that leads a
+	// flush lingers before taking the pending batch, so records from
+	// other threads join the same write+fsync. Zero takes the batch at
+	// once (still batching whatever arrived while the previous write
+	// was in flight).
 	GroupInterval time.Duration
 	// NoFsync skips fsync after each batch write. Crash simulations run
 	// in-process, so tests use this to keep the differential fast; real
@@ -42,43 +52,65 @@ type Options struct {
 type LogStats struct {
 	Records  uint64 // records appended
 	Bytes    uint64 // payload+frame bytes appended
-	Batches  uint64 // flusher write batches
+	Batches  uint64 // batch writes
 	Fsyncs   uint64 // fsync calls issued
 	Segments uint64 // segment files created
 }
 
-// segBuf is one segment: the full byte image (header included) plus how
-// much of it has reached the file.
+// segBuf is one segment: how many bytes (header included) were
+// appended to it and how many of those reached its file.
 type segBuf struct {
 	idx     uint64
-	data    []byte
-	size    int // len(data) frozen once the buffer is released
-	flushed int
+	size    int
+	written int
 	file    *os.File
 }
 
-// Log is a segmented append-only redo log with group commit. Append
-// serializes a record into the in-memory tail under a mutex; a
-// dedicated flusher goroutine batches everything that accumulated —
-// across all appending threads — into one write+fsync and then closes
-// that batch's done channel, acking every commit in the batch at once.
-// This amortizes the write barrier across threads the same way
-// tm.Batcher amortizes transactions.
+// run is n consecutive bytes of a batch that belong to segment seg.
+type run struct {
+	seg *segBuf
+	n   int
+}
+
+// batch is serialized log bytes in append order, split into per-segment
+// runs.
+type batch struct {
+	buf  []byte
+	runs []run
+}
+
+func (b *batch) add(s *segBuf, n int) {
+	if k := len(b.runs) - 1; k >= 0 && b.runs[k].seg == s {
+		b.runs[k].n += n
+		return
+	}
+	b.runs = append(b.runs, run{seg: s, n: n})
+}
+
+// Log is a segmented append-only redo log with leader/follower group
+// commit. Append serializes a record into the pending batch under a
+// mutex. A thread that waits for its record while no flush is running
+// becomes the leader: it swaps the pending batch for a spare buffer,
+// writes (and fsyncs) it with the mutex released, and then acks every
+// record in it at once, across all appending threads. Threads that
+// wait while a flush is running sleep until it ends and then either
+// find their record written or lead the next batch. This amortizes the
+// write barrier across threads the same way tm.Batcher amortizes
+// transactions, without a hand-off to another goroutine.
 type Log struct {
 	dir  string
 	opts Options
 
-	mu      sync.Mutex
-	segs    []*segBuf // oldest first; tail = segs[len-1]
-	nextSeq uint64
-	doneCh  chan struct{} // closed when the current batch is durable
-	err     error         // sticky I/O error
-	closed  bool
-
-	wake        chan struct{}
-	quit        chan struct{}
-	flusherDone chan struct{}
-	scratch     []byte
+	mu         sync.Mutex
+	cond       sync.Cond // signalled when a flush ends
+	segs       []*segBuf // oldest first; tail = segs[len-1]
+	nextSeq    uint64
+	flushedSeq uint64 // every record with a lower Seq has been written
+	pending    batch  // appended since the last swap
+	spare      batch  // the last written batch, kept for reuse
+	flushing   bool
+	err        error // sticky I/O error
+	closed     bool
 
 	records  atomic.Uint64
 	bytes    atomic.Uint64
@@ -99,113 +131,83 @@ func OpenLog(dir string, startSeg, startSeq uint64, opts Options) (*Log, error) 
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	l := &Log{
-		dir:         dir,
-		opts:        opts,
-		nextSeq:     startSeq,
-		doneCh:      make(chan struct{}),
-		wake:        make(chan struct{}, 1),
-		quit:        make(chan struct{}),
-		flusherDone: make(chan struct{}),
-	}
-	l.segs = append(l.segs, l.newSeg(startSeg))
-	go l.flusher()
+	l := &Log{dir: dir, opts: opts, nextSeq: startSeq, flushedSeq: startSeq}
+	l.cond.L = &l.mu
+	l.newSeg(startSeg)
 	return l, nil
 }
 
-func (l *Log) newSeg(idx uint64) *segBuf {
-	data := make([]byte, segHdrLen, 64<<10)
-	copy(data, segMagic)
-	binary.LittleEndian.PutUint64(data[8:], idx)
+// newSeg starts segment idx: its header bytes are the next run of the
+// pending batch. Called with l.mu held (or before the log is shared).
+func (l *Log) newSeg(idx uint64) {
+	s := &segBuf{idx: idx, size: segHdrLen}
+	l.pending.buf = append(l.pending.buf, segMagic...)
+	l.pending.buf = binary.LittleEndian.AppendUint64(l.pending.buf, idx)
+	l.pending.add(s, segHdrLen)
+	l.segs = append(l.segs, s)
 	l.segments.Add(1)
-	return &segBuf{idx: idx, data: data}
 }
 
 // Ack is a handle on the durability of one appended record.
 type Ack struct {
-	l  *Log
-	ch chan struct{}
+	l   *Log
+	seq uint64
 }
 
 // Wait blocks until the record's batch has been written (and fsynced,
-// unless NoFsync) and returns the log's sticky error state.
+// unless NoFsync) and returns the log's sticky error state. If no
+// flush is running, the caller writes the batch itself.
 func (a Ack) Wait() error {
-	if a.ch == nil {
+	if a.l == nil {
 		return nil
 	}
-	<-a.ch
-	a.l.mu.Lock()
-	err := a.l.err
-	a.l.mu.Unlock()
-	return err
+	l := a.l
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.settle(func() bool { return l.flushedSeq > a.seq })
 }
 
-// Append assigns rec the next sequence number, serializes it into the
-// tail segment, and wakes the flusher. The returned Ack waits for the
-// batch containing this record; callers that don't need the barrier
-// (aborts, non-transactional journal entries) ignore it.
+// Append assigns rec the next sequence number and serializes it into
+// the pending batch. The returned Ack waits for the batch containing
+// this record; callers that don't need the barrier (aborts,
+// non-transactional journal entries) ignore it.
 func (l *Log) Append(rec *Record) (Ack, error) {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		err := l.err
-		l.mu.Unlock()
-		if err == nil {
-			err = os.ErrClosed
+		if l.err != nil {
+			return Ack{}, l.err
 		}
-		return Ack{}, err
+		return Ack{}, os.ErrClosed
 	}
 	rec.Seq = l.nextSeq
 	l.nextSeq++
 	tail := l.segs[len(l.segs)-1]
-	before := len(tail.data)
-	tail.data = AppendRecord(tail.data, rec)
+	before := len(l.pending.buf)
+	l.pending.buf = AppendRecord(l.pending.buf, rec)
+	n := len(l.pending.buf) - before
+	l.pending.add(tail, n)
+	tail.size += n
 	l.records.Add(1)
-	l.bytes.Add(uint64(len(tail.data) - before))
+	l.bytes.Add(uint64(n))
 	// Rotate at append time so Position() values stay stable: a
 	// (segment, offset) pair captured now is never shifted by a later
 	// rotation.
-	if len(tail.data) >= l.opts.SegmentBytes {
-		l.segs = append(l.segs, l.newSeg(tail.idx+1))
+	if tail.size >= l.opts.SegmentBytes {
+		l.newSeg(tail.idx + 1)
 	}
-	ack := Ack{l: l, ch: l.doneCh}
-	l.mu.Unlock()
-	l.wakeFlusher()
-	return ack, nil
-}
-
-func (l *Log) wakeFlusher() {
-	select {
-	case l.wake <- struct{}{}:
-	default:
+	if len(l.pending.buf) > maxPending && !l.flushing && l.err == nil {
+		l.flush(false)
 	}
+	return Ack{l: l, seq: rec.Seq}, nil
 }
 
 // Sync blocks until everything appended so far is durable.
 func (l *Log) Sync() error {
 	l.mu.Lock()
-	if l.err != nil {
-		err := l.err
-		l.mu.Unlock()
-		return err
-	}
-	pending := false
-	for _, s := range l.segs {
-		if s.flushed < len(s.data) {
-			pending = true
-			break
-		}
-	}
-	if !pending || l.closed {
-		l.mu.Unlock()
-		return nil
-	}
-	ch := l.doneCh
-	l.mu.Unlock()
-	l.wakeFlusher()
-	<-ch
-	// One batch may not have drained everything appended after our
-	// snapshot of doneCh; loop until clean.
-	return l.Sync()
+	defer l.mu.Unlock()
+	upto := l.nextSeq
+	return l.settle(func() bool { return l.flushedSeq >= upto })
 }
 
 // Position returns the current append position: the tail segment index
@@ -214,21 +216,22 @@ func (l *Log) Sync() error {
 func (l *Log) Position() (seg, off uint64) {
 	l.mu.Lock()
 	tail := l.segs[len(l.segs)-1]
-	seg, off = tail.idx, uint64(len(tail.data))
+	seg, off = tail.idx, uint64(tail.size)
 	l.mu.Unlock()
 	return seg, off
 }
 
 // TruncateBefore deletes segment files wholly below seg. Only fully
-// flushed, non-tail segments are removed; the checkpointer calls Sync
+// written, non-tail segments are removed; the checkpointer calls Sync
 // first so everything below its cut qualifies.
 func (l *Log) TruncateBefore(seg uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.idle()
 	var firstErr error
 	kept := l.segs[:0]
 	for i, s := range l.segs {
-		if s.idx >= seg || i == len(l.segs)-1 || s.flushed < len(s.data) {
+		if s.idx >= seg || i == len(l.segs)-1 || s.written < s.size {
 			kept = append(kept, s)
 			continue
 		}
@@ -255,27 +258,28 @@ func (l *Log) Stats() LogStats {
 	}
 }
 
-// Close flushes everything pending and closes the segment files. It is
+// Close writes everything pending and closes the segment files. It is
 // idempotent. Close writes no seal record; the runtime layer appends
 // one (and waits for its ack) before calling Close.
 func (l *Log) Close() error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		err := l.err
-		l.mu.Unlock()
-		return err
+		return l.err
 	}
 	l.closed = true
-	l.mu.Unlock()
-	close(l.quit)
-	<-l.flusherDone
-	l.mu.Lock()
-	err := l.err
-	l.mu.Unlock()
-	return err
+	l.settle(func() bool { return len(l.pending.buf) == 0 })
+	l.idle()
+	for _, s := range l.segs {
+		if s.file != nil {
+			s.file.Close()
+			s.file = nil
+		}
+	}
+	return l.err
 }
 
-// Kill simulates a crash for tests: pending bytes are flushed (an
+// Kill simulates a crash for tests: pending bytes are written (an
 // in-process "crash" cannot lose the page cache) and files are closed,
 // but no seal is written and the log refuses further appends. Acked
 // records are durable at ack time regardless; Kill only decides the
@@ -283,118 +287,95 @@ func (l *Log) Close() error {
 // the legal crash outcomes.
 func (l *Log) Kill() { l.Close() }
 
-func (l *Log) flusher() {
-	defer close(l.flusherDone)
-	for {
-		select {
-		case <-l.quit:
-			l.flushOnce()
-			l.mu.Lock()
-			close(l.doneCh) // release late Sync/Ack waiters; appends are rejected
-			for _, s := range l.segs {
-				if s.file != nil {
-					s.file.Close()
-					s.file = nil
-				}
-			}
-			l.mu.Unlock()
-			return
-		case <-l.wake:
+// settle blocks until done reports true or the sticky error is set. It
+// leads a flush whenever none is running and otherwise sleeps until the
+// running one ends. Called with l.mu held.
+func (l *Log) settle(done func() bool) error {
+	for l.err == nil && !done() {
+		if l.flushing {
+			l.cond.Wait()
+		} else {
+			l.flush(true)
 		}
-		if d := l.opts.GroupInterval; d > 0 {
-			select {
-			case <-time.After(d):
-			case <-l.quit:
-			}
-		}
-		l.flushOnce()
+	}
+	return l.err
+}
+
+// idle waits out an in-flight flush. Called with l.mu held.
+func (l *Log) idle() {
+	for l.flushing {
+		l.cond.Wait()
 	}
 }
 
-// flushOnce writes every byte appended since the last flush — across
-// all segments — fsyncs the touched files, and closes the batch's done
-// channel. Bytes are copied out under the mutex because appenders may
-// grow (and reallocate) a segment's buffer while the write is in
-// flight.
-func (l *Log) flushOnce() {
-	type chunk struct {
-		seg  *segBuf
-		from int
-		upto int
-		off  int // offset into scratch
+// flush makes the caller the leader: it takes the pending batch
+// (lingering GroupInterval first when linger is set), writes it with
+// l.mu released, and then acks it. Called with l.mu held, no flush
+// running and no sticky error; returns with l.mu held.
+func (l *Log) flush(linger bool) {
+	l.flushing = true
+	if d := l.opts.GroupInterval; linger && d > 0 {
+		l.mu.Unlock()
+		time.Sleep(d)
+		l.mu.Lock()
 	}
-	// Even a batch with no unflushed bytes swaps and closes the done
-	// channel: Sync may be waiting on it after a spurious wake (the
-	// segment header counts as pending until its first flush).
-	l.mu.Lock()
-	var chunks []chunk
-	need := 0
-	for _, s := range l.segs {
-		if s.flushed < len(s.data) {
-			need += len(s.data) - s.flushed
-		}
-	}
-	if cap(l.scratch) < need {
-		l.scratch = make([]byte, need)
-	}
-	buf := l.scratch[:0]
-	for _, s := range l.segs {
-		if s.flushed >= len(s.data) {
-			continue
-		}
-		upto := len(s.data)
-		chunks = append(chunks, chunk{seg: s, from: s.flushed, upto: upto, off: len(buf)})
-		buf = append(buf, s.data[s.flushed:upto]...)
-	}
-	done := l.doneCh
-	l.doneCh = make(chan struct{})
+	b := l.pending
+	l.pending, l.spare = l.spare, batch{}
+	upto := l.nextSeq
 	l.mu.Unlock()
 
-	var ioErr error
-	for _, c := range chunks {
-		if c.seg.file == nil {
-			f, err := os.OpenFile(filepath.Join(l.dir, SegName(c.seg.idx)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				ioErr = err
-				break
+	err := l.write(&b)
+	l.batches.Add(1)
+
+	l.mu.Lock()
+	if err != nil {
+		l.err = err
+	} else {
+		tail := l.segs[len(l.segs)-1]
+		for _, r := range b.runs {
+			s := r.seg
+			s.written += r.n
+			// A fully written non-tail segment is immutable: release its
+			// file handle.
+			if s != tail && s.written == s.size && s.file != nil {
+				s.file.Close()
+				s.file = nil
 			}
-			c.seg.file = f
 		}
-		if _, err := c.seg.file.Write(buf[c.off : c.off+(c.upto-c.from)]); err != nil {
-			ioErr = err
-			break
+		l.flushedSeq = upto
+	}
+	if cap(b.buf) <= maxSpare {
+		clear(b.runs) // drop segment pointers so truncated segments can be collected
+		l.spare = batch{buf: b.buf[:0], runs: b.runs[:0]}
+	}
+	l.flushing = false
+	l.cond.Broadcast()
+}
+
+// write appends each run of b to its segment file, creating the file on
+// the segment's first run, and fsyncs it unless NoFsync. Only the
+// leader calls it, so segment files are not touched concurrently.
+func (l *Log) write(b *batch) error {
+	off := 0
+	for _, r := range b.runs {
+		s := r.seg
+		if s.file == nil {
+			f, err := os.OpenFile(filepath.Join(l.dir, SegName(s.idx)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				return err
+			}
+			s.file = f
 		}
+		if _, err := s.file.Write(b.buf[off : off+r.n]); err != nil {
+			return err
+		}
+		off += r.n
 		if !l.opts.NoFsync {
-			if err := c.seg.file.Sync(); err != nil {
-				ioErr = err
-				break
+			if err := s.file.Sync(); err != nil {
+				return err
 			}
 			l.fsyncs.Add(1)
 		}
 	}
-	l.batches.Add(1)
-
-	l.mu.Lock()
-	if ioErr != nil {
-		if l.err == nil {
-			l.err = ioErr
-		}
-	} else {
-		tail := l.segs[len(l.segs)-1]
-		for _, c := range chunks {
-			c.seg.flushed = c.upto
-			// A fully flushed non-tail segment is immutable: release its
-			// buffer and file handle.
-			if c.seg != tail && c.seg.flushed == len(c.seg.data) {
-				c.seg.size = len(c.seg.data)
-				c.seg.data = nil
-				if c.seg.file != nil {
-					c.seg.file.Close()
-					c.seg.file = nil
-				}
-			}
-		}
-	}
-	l.mu.Unlock()
-	close(done)
+	return nil
 }

@@ -10,7 +10,7 @@
 // The package is layered:
 //
 //	record.go     the redo-record codec (framing, CRC, torn-tail)
-//	log.go        segmented append-only log + group-commit flusher
+//	log.go        segmented append-only log + leader group commit
 //	checkpoint.go content-addressed snapshot packs + manifests
 //	recover.go    checkpoint load + redo-tail replay
 package wal

@@ -145,9 +145,10 @@ func (st *RecoveredState) replayTail(dir string, m *Manifest) error {
 		}
 	}
 	sort.Slice(segIdxs, func(i, j int) bool { return segIdxs[i] < segIdxs[j] })
-	// Segment files are created lazily by the flusher, so the cut
-	// segment may legitimately not exist (nothing after the cut was ever
-	// flushed) — but a gap in the middle of the tail is corruption.
+	// Segment files are created lazily, by the first batch write that
+	// reaches them, so the cut segment may legitimately not exist
+	// (nothing after the cut was ever written) — but a gap in the middle
+	// of the tail is corruption.
 	for i, idx := range segIdxs {
 		if want := segIdxs[0] + uint64(i); idx != want {
 			return fmt.Errorf("wal: segment gap: have %d, want %d", idx, want)
@@ -167,7 +168,7 @@ func (st *RecoveredState) replayTail(dir string, m *Manifest) error {
 		}
 		if len(b) < segHdrLen || string(b[:8]) != segMagic {
 			if last {
-				// Torn header: the flusher crashed before the segment's
+				// Torn header: the process crashed before the segment's
 				// first batch completed. Nothing in it was acked.
 				if err := os.Remove(path); err != nil {
 					return err

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 )
@@ -329,5 +330,204 @@ func TestCheckpointDedup(t *testing.T) {
 	}
 	if st := store2.Stats(); st.ChunksWritten != 0 {
 		t.Fatalf("reopened store rewrote %d chunks", st.ChunksWritten)
+	}
+}
+
+// segmentSeqs decodes segment idx in dir and returns the seqs of its
+// complete records; a torn final frame (a write still in flight) ends
+// the scan.
+func segmentSeqs(t *testing.T, dir string, idx uint64) []uint64 {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(dir, SegName(idx)))
+	if err != nil {
+		t.Errorf("segment %d: %v", idx, err)
+		return nil
+	}
+	if len(b) < segHdrLen || string(b[:8]) != segMagic {
+		t.Errorf("segment %d: bad header", idx)
+		return nil
+	}
+	var seqs []uint64
+	var rec Record
+	for off := segHdrLen; off < len(b); {
+		n, err := DecodeRecord(b[off:], &rec)
+		if err != nil {
+			break
+		}
+		seqs = append(seqs, rec.Seq)
+		off += n
+	}
+	return seqs
+}
+
+// TestLogAckMeansWritten stresses the leader/follower handshake: after
+// every Wait the record's bytes are already in its segment file, even
+// when batches span segment rotations, and the log decodes to one
+// gap-free seq run once closed.
+func TestLogAckMeansWritten(t *testing.T) {
+	const goroutines, perG = 8, 500
+	for _, tc := range []struct {
+		name  string
+		group time.Duration
+	}{{"eager", 0}, {"linger", time.Millisecond}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, err := OpenLog(dir, 0, 0, Options{SegmentBytes: 4096, NoFsync: true, GroupInterval: tc.group})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < perG; i++ {
+						// Mixed sizes: 1 to 40 words of payload.
+						rec := Record{Kind: KindCommit, Spans: []Span{{Addr: uint64(g), Vals: make([]uint64, 1+(g*perG+i)%40)}}}
+						// The record lands in a segment between the tails
+						// seen just before and just after its Append.
+						lo, _ := l.Position()
+						ack, err := l.Append(&rec)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						hi, _ := l.Position()
+						if err := ack.Wait(); err != nil {
+							t.Error(err)
+							return
+						}
+						found := false
+						for idx := lo; idx <= hi && !found; idx++ {
+							for _, s := range segmentSeqs(t, dir, idx) {
+								if s == rec.Seq {
+									found = true
+									break
+								}
+							}
+						}
+						if !found {
+							t.Errorf("seq %d acked but not in segments %d..%d", rec.Seq, lo, hi)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st := l.Stats()
+			if st.Records != goroutines*perG || st.Segments < 2 {
+				t.Fatalf("stats %+v: want %d records over several segments", st, goroutines*perG)
+			}
+			var want uint64
+			for idx := uint64(0); idx < st.Segments; idx++ {
+				for _, s := range segmentSeqs(t, dir, idx) {
+					if s != want {
+						t.Fatalf("segment %d: seq %d, want %d", idx, s, want)
+					}
+					want++
+				}
+			}
+			if want != st.Records {
+				t.Fatalf("decoded %d records, want %d", want, st.Records)
+			}
+			if tc.group > 0 && st.Batches >= st.Records {
+				t.Fatalf("lingering leaders wrote %d batches for %d records", st.Batches, st.Records)
+			}
+		})
+	}
+}
+
+// TestLogWriteErrorIsNeverAcked closes the tail segment's file under
+// the log: every later write fails, and no Wait, Sync or Close may
+// report success or hang.
+func TestLogWriteErrorIsNeverAcked(t *testing.T) {
+	l, err := OpenLog(t.TempDir(), 0, 0, Options{NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := Record{Kind: KindCommit, Spans: []Span{{Addr: 1, Vals: []uint64{1, 2}}}}
+	ack, err := l.Append(&rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ack.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock()
+	l.segs[len(l.segs)-1].file.Close()
+	l.mu.Unlock()
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					r := rec
+					ack, err := l.Append(&r)
+					if err != nil {
+						continue // rejected outright: not an ack either
+					}
+					if err := ack.Wait(); err == nil {
+						t.Errorf("seq %d acked after its write failed", r.Seq)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if err := l.Sync(); err == nil {
+			t.Error("Sync succeeded after a failed write")
+		}
+		if err := l.Close(); err == nil {
+			t.Error("Close succeeded after a failed write")
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Append/Wait/Sync/Close hung after a failed write")
+	}
+}
+
+// BenchmarkLogAppendWait measures the commit handshake alone: parallel
+// Append+Wait of ~1.5 KB records without fsync.
+func BenchmarkLogAppendWait(b *testing.B) {
+	l, err := OpenLog(b.TempDir(), 0, 0, Options{NoFsync: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	vals := make([]uint64, 186)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		rec := Record{Kind: KindCommit, Spans: []Span{{Addr: 1, Vals: vals}}}
+		for i := 1; pb.Next(); i++ {
+			ack, err := l.Append(&rec)
+			if err == nil {
+				err = ack.Wait()
+			}
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			// Keep the disk footprint to a couple of segments.
+			if i%4096 == 0 {
+				seg, _ := l.Position()
+				if err := l.TruncateBefore(seg); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}
+	})
+	b.StopTimer()
+	if err := l.Close(); err != nil {
+		b.Fatal(err)
 	}
 }

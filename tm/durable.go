@@ -47,10 +47,10 @@ type durSettings struct {
 // DurOption tunes WithDurability.
 type DurOption func(*durSettings)
 
-// DurGroupInterval sets how long the log flusher lingers to accumulate
-// records from other threads into one write+fsync (0, the default,
-// flushes as soon as the flusher observes pending records — which still
-// batches whatever arrived during the previous fsync).
+// DurGroupInterval sets how long the committing thread that writes a
+// log batch lingers to accumulate records from other threads into one
+// write+fsync (0, the default, writes at once — which still batches
+// whatever arrived during the previous write).
 func DurGroupInterval(d time.Duration) DurOption {
 	return func(ds *durSettings) { ds.group = d }
 }
